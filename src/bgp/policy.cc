@@ -34,19 +34,11 @@ PrefixList::add(uint32_t seq, bool permit, const net::Prefix &prefix,
         [](uint32_t s, const Entry &e) { return s < e.seq; });
     entries_.insert(pos, entry);
 
-    // Rebuild the trie's index vectors: insertion shifted the indexes
+    // Rebuild the tree's index vectors: insertion shifted the indexes
     // of every later entry. Build is config-time; keep it simple.
-    trie_ = net::LpmTrie<std::vector<uint32_t>>();
-    for (uint32_t i = 0; i < entries_.size(); ++i) {
-        const net::Prefix &key = entries_[i].prefix;
-        if (const auto *bucket = trie_.exact(key)) {
-            std::vector<uint32_t> grown = *bucket;
-            grown.push_back(i);
-            trie_.insert(key, std::move(grown));
-        } else {
-            trie_.insert(key, {i});
-        }
-    }
+    tree_.clear();
+    for (uint32_t i = 0; i < entries_.size(); ++i)
+        tree_.findOrInsert(entries_[i].prefix)->push_back(i);
     return *this;
 }
 
@@ -54,7 +46,7 @@ ListMatch
 PrefixList::evaluate(const net::Prefix &prefix) const
 {
     const Entry *best = nullptr;
-    trie_.forEachCovering(
+    tree_.forEachCovering(
         prefix, [&](int, const std::vector<uint32_t> &bucket) {
             for (uint32_t index : bucket) {
                 const Entry &entry = entries_[index];

@@ -40,7 +40,13 @@ struct ForwardResult
     DropReason dropReason = DropReason::None;
     net::Ipv4Address nextHop;
     uint32_t egressInterface = 0;
-    /** LPM trie nodes visited (work metric for the simulator). */
+    /**
+     * Lookup work, as the node count a unibit trie holding the same
+     * prefixes would visit (PrefixTree::matchLongest); the simulator
+     * charges its calibrated per-node cost on it. The modelled trie
+     * is pruned on remove, so a withdrawn prefix does not add to the
+     * charge of lookups beneath it.
+     */
     int lookupNodesVisited = 0;
 };
 

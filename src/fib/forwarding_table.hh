@@ -13,9 +13,9 @@
 #include <optional>
 #include <vector>
 
-#include "fib/lpm_trie.hh"
 #include "net/ipv4_address.hh"
 #include "net/prefix.hh"
+#include "net/prefix_tree.hh"
 
 namespace bgpbench::fib
 {
@@ -46,8 +46,9 @@ struct FibCounters
 };
 
 /**
- * The forwarding table: an LPM trie plus the write-side bookkeeping
- * the control plane performs.
+ * The forwarding table: a net::PrefixTree with its stride-16 root
+ * index enabled, plus the write-side bookkeeping the control plane
+ * performs.
  *
  * Real kernels serialise route updates against lookups with a lock or
  * RCU-style generation counters; the simulated router charges a lock
@@ -58,6 +59,8 @@ struct FibCounters
 class ForwardingTable
 {
   public:
+    ForwardingTable() { tree_.enableRootIndex(); }
+
     /**
      * Install or replace the route for @p prefix.
      * @return True if this was a new prefix (install), false if it
@@ -74,21 +77,31 @@ class ForwardingTable
     /**
      * Longest-prefix-match lookup.
      *
+     * The returned pointer is valid only until the next install() or
+     * remove(): entries live in the tree's node arena, which a write
+     * may grow or recycle. Copy what you need before the table
+     * changes.
+     *
      * @param addr Destination address.
-     * @param visited Optional out-parameter: trie nodes visited.
+     * @param visited Optional out-parameter: the lookup work charged
+     *        by the simulated forwarding engine, as the node count a
+     *        unibit trie would visit (see PrefixTree::matchLongest).
      * @return The entry, or nullptr if the destination is unroutable.
      */
     const FibEntry *lookup(net::Ipv4Address addr,
                            int *visited = nullptr);
 
-    /** Exact-match query (management plane / tests). */
+    /**
+     * Exact-match query (management plane / tests); the pointer has
+     * lookup()'s lifetime.
+     */
     const FibEntry *exact(const net::Prefix &prefix) const;
 
-    size_t size() const { return trie_.size(); }
+    size_t size() const { return tree_.size(); }
     const FibCounters &counters() const { return counters_; }
 
   private:
-    LpmTrie<FibEntry> trie_;
+    net::PrefixTree<FibEntry> tree_;
     FibCounters counters_;
 };
 

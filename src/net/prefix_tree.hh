@@ -1,15 +1,16 @@
 /**
  * @file
  * Compressed keyed prefix tree: a path-compressed binary radix trie
- * over (address, length) with slab/arena node storage.
+ * over (address, length) with slab/arena node storage — the one
+ * prefix structure behind the RIBs, the FIB, RIB snapshots and
+ * compiled prefix-lists.
  *
- * Where LpmTrie expands one heap-allocated node per bit of every
- * inserted prefix (fine for small FIBs, hostile at internet scale),
- * PrefixTree keeps exactly one node per stored prefix plus at most one
- * branching node per pair of diverging sub-tries — the classic
- * Patricia shape — and places all nodes in one contiguous arena
- * addressed by 32-bit indices. That brings three properties the RIBs
- * need at 1M+ prefixes:
+ * Where a unibit trie expands one heap-allocated node per bit of
+ * every inserted prefix, PrefixTree keeps exactly one node per stored
+ * prefix plus at most one branching node per pair of diverging
+ * sub-tries — the classic Patricia shape — and places all nodes in
+ * one contiguous arena addressed by 32-bit indices. That brings three
+ * properties tables of 1M+ prefixes need:
  *
  *  - O(length) insert/lookup/erase with at most 33 node visits, no
  *    per-bit allocation, and no rehash spikes;
@@ -20,15 +21,24 @@
  *    Prefix::operator<=> defines — so snapshot/dump consumers no
  *    longer sort.
  *
+ * Longest-prefix-match users (the FIB and RIB snapshots) may opt into
+ * a stride-16 root index (enableRootIndex): for each of the 2^16
+ * top-16-bit slots it records the deepest node of length <= 16
+ * covering the slot and the deepest such node holding a value, so a
+ * lookup starts its walk at /16 depth instead of at the root. The
+ * index costs 512 KB and is kept current by the mutations that touch
+ * nodes of length <= 16; deeper nodes never touch it.
+ *
  * Erase returns nodes to an intrusive free list threaded through the
  * arena; the arena itself only grows (capacity is the high-water mark
- * of live + free nodes), which is the right trade for RIBs whose
+ * of live + free nodes), which is the right trade for tables whose
  * size is workload-bounded.
  */
 
 #ifndef BGPBENCH_NET_PREFIX_TREE_HH
 #define BGPBENCH_NET_PREFIX_TREE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -50,10 +60,14 @@ namespace bgpbench::net
  *    depth is bounded by 33;
  *  - a non-root node either holds a value or has two children
  *    (single-child valueless nodes are spliced out on erase), which
- *    bounds total nodes at 2 * size() + 1.
+ *    bounds total nodes at 2 * size() + 1;
+ *  - when the root index is enabled, slot s holds the deepest node of
+ *    length <= 16 covering s (node 0 when none is deeper) and the
+ *    deepest such node with a value (npos when none has one).
  *
- * Pointers/references returned by find()/insert() are invalidated by
- * any subsequent mutation (the arena may grow or recycle nodes).
+ * Pointers/references returned by find()/insert()/matchLongest() are
+ * invalidated by any subsequent mutation (the arena may grow or
+ * recycle nodes).
  */
 template <typename V>
 class PrefixTree
@@ -102,6 +116,8 @@ class PrefixTree
                 if (fresh) {
                     arena_[cur].hasValue = true;
                     ++size_;
+                    if (indexed(cur))
+                        indexValue(cur);
                 }
                 if (inserted)
                     *inserted = fresh;
@@ -112,6 +128,7 @@ class PrefixTree
             if (childIdx == npos) {
                 uint32_t fresh = allocNode(bits, uint8_t(len), true);
                 arena_[cur].child[branch] = fresh;
+                indexNode(fresh, cur);
                 ++size_;
                 if (inserted)
                     *inserted = true;
@@ -136,6 +153,7 @@ class PrefixTree
                 uint32_t fresh = allocNode(bits, uint8_t(len), true);
                 arena_[fresh].child[down] = childIdx;
                 arena_[cur].child[branch] = fresh;
+                indexNode(fresh, cur);
                 ++size_;
                 if (inserted)
                     *inserted = true;
@@ -149,6 +167,8 @@ class PrefixTree
             arena_[joint].child[bitAt(childBits, common)] = childIdx;
             arena_[joint].child[bitAt(bits, common)] = fresh;
             arena_[cur].child[branch] = joint;
+            indexNode(joint, cur);
+            indexNode(fresh, joint);
             ++size_;
             if (inserted)
                 *inserted = true;
@@ -186,6 +206,8 @@ class PrefixTree
         arena_[cur].hasValue = false;
         arena_[cur].value = V{};
         --size_;
+        if (indexed(cur))
+            retarget(slotValue_, cur, cur, valuedAbove(cur));
         prune(cur, stack, depth);
         return true;
     }
@@ -206,31 +228,96 @@ class PrefixTree
     }
 
     /**
-     * Longest-prefix match for @p addr (same contract as
-     * LpmTrie::matchLongest), or nullptr when no stored prefix covers
-     * the address.
+     * Longest-prefix match for @p addr, or nullptr when no stored
+     * prefix covers the address.
+     *
+     * @param unibitNodes Optional out-parameter receiving the node
+     *        count a unibit (one node per bit) trie holding the same
+     *        prefixes would visit: 1 + max over stored prefixes p of
+     *        min(cpl(addr, p), p.length()), where cpl is the common
+     *        prefix length. It is the lookup-work figure the
+     *        simulated forwarding engine charges; the walk derives it
+     *        from where it stops, at no extra node visits. The
+     *        modelled trie holds only the prefixes stored now, i.e.
+     *        it is pruned on erase. A unibit trie that leaves the
+     *        nodes of erased prefixes in place also walks those, so
+     *        the figure equals that trie's depth only while no lookup
+     *        falls under an erased prefix.
      */
     const V *
-    matchLongest(Ipv4Address addr) const
+    matchLongest(Ipv4Address addr, int *unibitNodes = nullptr) const
     {
         const uint32_t bits = addr.toUint32();
         const V *best = nullptr;
         uint32_t cur = 0;
+        if (rootIndexed()) {
+            const uint32_t slot = bits >> kIndexBits;
+            cur = slotNode_[slot];
+            if (slotValue_[slot] != npos)
+                best = &arena_[slotValue_[slot]].value;
+        }
+        int depth = 0;
         for (;;) {
             const Node &node = arena_[cur];
             if (node.hasValue)
                 best = &node.value;
-            if (node.len == 32)
+            if (node.len == 32) {
+                depth = 32;
                 break;
+            }
             const uint32_t childIdx = node.child[bitAt(bits, node.len)];
-            if (childIdx == npos)
+            if (childIdx == npos) {
+                // Every stored prefix sharing more than node.len bits
+                // with addr would sit below this link.
+                depth = node.len;
                 break;
+            }
             const Node &child = arena_[childIdx];
-            if (((child.bits ^ bits) & maskForLength(child.len)) != 0)
+            const uint32_t diff =
+                (child.bits ^ bits) & maskForLength(child.len);
+            if (diff != 0) {
+                // Everything below child agrees with child.bits on the
+                // first child.len bits, so a unibit walk would have
+                // followed addr exactly until the first differing bit.
+                depth = std::countl_zero(diff);
                 break;
+            }
             cur = childIdx;
         }
+        if (unibitNodes)
+            *unibitNodes = depth + 1;
         return best;
+    }
+
+    /**
+     * Visit the value of every stored prefix that covers @p prefix
+     * (equal or shorter length, matching leading bits), shortest
+     * first: fn(coveringPrefixLength, value). The walk touches only
+     * nodes on the path to @p prefix, at most 33 — this is what makes
+     * a compiled prefix-list lookup O(32) instead of O(entries).
+     */
+    template <typename Fn>
+    void
+    forEachCovering(const Prefix &prefix, Fn &&fn) const
+    {
+        const uint32_t bits = prefix.address().toUint32();
+        const int len = prefix.length();
+        uint32_t cur = 0;
+        for (;;) {
+            const Node &node = arena_[cur];
+            if (node.hasValue)
+                fn(int(node.len), node.value);
+            if (node.len == len)
+                return;
+            const uint32_t childIdx = node.child[bitAt(bits, node.len)];
+            if (childIdx == npos)
+                return;
+            const Node &child = arena_[childIdx];
+            if (child.len > len ||
+                ((child.bits ^ bits) & maskForLength(child.len)) != 0)
+                return;
+            cur = childIdx;
+        }
     }
 
     /**
@@ -255,7 +342,7 @@ class PrefixTree
     /** Live arena nodes, including valueless joints and the root. */
     size_t nodeCount() const { return liveNodes_; }
 
-    /** Drop every entry; keeps the arena's capacity. */
+    /** Drop every entry; keeps the arena's capacity (and the index). */
     void
     clear()
     {
@@ -264,7 +351,27 @@ class PrefixTree
         freeHead_ = npos;
         size_ = 0;
         liveNodes_ = 1;
+        // Every slot back at the root: node 0, no value.
+        std::fill(slotNode_.begin(), slotNode_.end(), 0u);
+        std::fill(slotValue_.begin(), slotValue_.end(), npos);
     }
+
+    /**
+     * Build the stride-16 root index over the current content and keep
+     * it current through every later mutation. Bulk loaders (RIB
+     * snapshots) call it once after loading; tables that start empty
+     * (the FIB) call it up front. Costs 512 KB.
+     */
+    void
+    enableRootIndex()
+    {
+        slotNode_.assign(kSlots, 0u);
+        slotValue_.assign(kSlots, npos);
+        fillRootIndex(0);
+    }
+
+    /** Is the stride-16 root index enabled? */
+    bool rootIndexed() const { return !slotNode_.empty(); }
 
     /**
      * Pre-size the arena for @p prefixes entries (2n+1 nodes covers
@@ -277,11 +384,17 @@ class PrefixTree
         arena_.reserve(2 * prefixes + 1);
     }
 
-    /** Bytes held by the arena (capacity, i.e. high-water). */
+    /**
+     * Bytes held by the arena (capacity, i.e. high-water) and the root
+     * index, if enabled.
+     */
     size_t
     memoryBytes() const
     {
-        return arena_.capacity() * sizeof(Node) + sizeof(*this);
+        return arena_.capacity() * sizeof(Node) +
+               (slotNode_.capacity() + slotValue_.capacity()) *
+                   sizeof(uint32_t) +
+               sizeof(*this);
     }
 
   private:
@@ -307,6 +420,86 @@ class PrefixTree
     commonPrefixLength(uint32_t a, uint32_t b)
     {
         return a == b ? 32 : std::countl_zero(a ^ b);
+    }
+
+    /** Top-16-bit slots of the root index. */
+    static constexpr uint32_t kSlots = 1u << 16;
+    /** Deepest prefix length the root index resolves. */
+    static constexpr int kIndexBits = 16;
+
+    /** Is node @p idx short enough to appear in the root index? */
+    bool
+    indexed(uint32_t idx) const
+    {
+        return rootIndexed() && arena_[idx].len <= kIndexBits;
+    }
+
+    /**
+     * In the 2^(16 - len) slots node @p idx covers, replace @p from
+     * with @p to in @p slots. Every index update is one such
+     * branch-free, vectorisable pass: a covered slot holds either the
+     * entry the mutation replaces or one from a deeper node, which it
+     * keeps.
+     */
+    void
+    retarget(std::vector<uint32_t> &slots, uint32_t idx, uint32_t from,
+             uint32_t to)
+    {
+        const Node &node = arena_[idx];
+        uint32_t *slot = slots.data() + (node.bits >> kIndexBits);
+        const uint32_t count = 1u << (kIndexBits - node.len);
+        for (uint32_t i = 0; i < count; ++i)
+            slot[i] = slot[i] == from ? to : slot[i];
+    }
+
+    /** Deepest valued strict ancestor of linked node @p idx, or npos. */
+    uint32_t
+    valuedAbove(uint32_t idx) const
+    {
+        const uint32_t bits = arena_[idx].bits;
+        uint32_t best = npos;
+        for (uint32_t cur = 0; cur != idx;
+             cur = arena_[cur].child[bitAt(bits, arena_[cur].len)]) {
+            if (arena_[cur].hasValue)
+                best = cur;
+        }
+        return best;
+    }
+
+    /** Indexed node @p idx gained a value. */
+    void
+    indexValue(uint32_t idx)
+    {
+        retarget(slotValue_, idx, valuedAbove(idx), idx);
+    }
+
+    /** Node @p idx was just linked below @p parent. */
+    void
+    indexNode(uint32_t idx, uint32_t parent)
+    {
+        if (!indexed(idx))
+            return;
+        retarget(slotNode_, idx, parent, idx);
+        if (arena_[idx].hasValue)
+            indexValue(idx);
+    }
+
+    /** Pre-order fill from @p idx: deeper nodes overwrite ancestors. */
+    void
+    fillRootIndex(uint32_t idx)
+    {
+        const Node &node = arena_[idx];
+        if (node.len > kIndexBits)
+            return;
+        const uint32_t first = node.bits >> kIndexBits;
+        const uint32_t count = 1u << (kIndexBits - node.len);
+        std::fill_n(slotNode_.begin() + first, count, idx);
+        if (node.hasValue)
+            std::fill_n(slotValue_.begin() + first, count, idx);
+        for (uint32_t child : node.child) {
+            if (child != npos)
+                fillRootIndex(child);
+        }
     }
 
     uint32_t
@@ -380,6 +573,8 @@ class PrefixTree
             if (kids == 2)
                 break;
             const uint32_t parent = stack[--depth];
+            if (indexed(cur))
+                retarget(slotNode_, cur, cur, parent);
             Node &par = arena_[parent];
             const int slot = par.child[0] == cur ? 0 : 1;
             if (kids == 1) {
@@ -409,6 +604,10 @@ class PrefixTree
     }
 
     std::vector<Node> arena_;
+    /** Per top-16-bit slot: deepest covering node of length <= 16. */
+    std::vector<uint32_t> slotNode_;
+    /** Per slot: deepest such node holding a value, or npos. */
+    std::vector<uint32_t> slotValue_;
     uint32_t freeHead_ = npos;
     size_t size_ = 0;
     size_t liveNodes_ = 0;

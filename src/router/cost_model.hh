@@ -108,7 +108,10 @@ struct CostProfile
     double irqPerPacket = 0;
     /** Kernel forwarding cost per packet (checksum, TTL, queueing). */
     double forwardPerPacket = 0;
-    /** Additional cost per LPM trie node visited during lookup. */
+    /**
+     * Additional cost per lookup node visited, counted as the nodes a
+     * per-bit trie would walk (ForwardResult::lookupNodesVisited).
+     */
     double lookupPerNode = 0;
     /**
      * Input queue depth expressed as nanoseconds of kernel work;

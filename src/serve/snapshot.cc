@@ -40,8 +40,13 @@ RibSnapshot::build(const bgp::LocRib &rib, uint64_t epoch,
     // every field of the snapshot (route array, scan output,
     // checksum) is a pure function of the table content.
 
+    // Ascending insertion order keeps the arena in walk order; a large
+    // table's root index is filled once the tree is complete.
+    snapshot->tree_.reserve(snapshot->routes_.size());
     for (size_t i = 0; i < snapshot->routes_.size(); ++i)
-        snapshot->trie_.insert(snapshot->routes_[i].prefix, uint32_t(i));
+        snapshot->tree_.insert(snapshot->routes_[i].prefix, uint32_t(i));
+    if (snapshot->routes_.size() >= kRootIndexMinRoutes)
+        snapshot->tree_.enableRootIndex();
 
     snapshot->peers_.reserve(per_peer.size());
     for (const auto &[peer, count] : per_peer)

@@ -4,11 +4,13 @@
  * speaker.
  *
  * A RibSnapshot is a self-contained copy of one speaker's Loc-RIB at
- * a publication point: the routes in ascending prefix order, an LPM
- * trie indexing them (the generic net::LpmTrie over *indexes* into
- * the route array, so the trie stores 4-byte values, not routes),
- * and per-peer summary counts. Attribute sets are shared with the
- * writer via PathAttributesPtr — interning (PR 2) makes them
+ * a publication point: the routes in ascending prefix order, a
+ * net::PrefixTree indexing them (over *indexes* into the route array,
+ * so the tree stores 4-byte values, not routes; a table of at least
+ * kRootIndexMinRoutes routes also gets the tree's stride-16 root
+ * index, filled once after the bulk load), and per-peer summary
+ * counts. Attribute sets are shared with the writer via
+ * PathAttributesPtr — interning (PR 2) makes them
  * immutable and refcounted, so a snapshot costs one pointer per
  * route, not a deep copy of paths.
  *
@@ -31,8 +33,8 @@
 
 #include "bgp/rib.hh"
 #include "bgp/route.hh"
-#include "net/lpm_trie.hh"
 #include "net/prefix.hh"
+#include "net/prefix_tree.hh"
 
 namespace bgpbench::serve
 {
@@ -69,6 +71,17 @@ using RibSnapshotPtr = std::shared_ptr<const RibSnapshot>;
 class RibSnapshot
 {
   public:
+    /**
+     * Smallest table whose snapshot enables the tree's stride-16
+     * root index. The index has a fixed price on every build: 512 KB
+     * allocated and filled (~0.3-0.7 ms), whatever the table size,
+     * and a publisher may build a snapshot on every flush. At one
+     * route per index slot (2^16) that price stays under a third of
+     * the tree's own build time; smaller trees are shallow enough to
+     * walk from the root (EXPERIMENTS.md, "One radix tree").
+     */
+    static constexpr size_t kRootIndexMinRoutes = size_t(1) << 16;
+
     /** The empty table at epoch 0 (a publisher's initial state). */
     RibSnapshot() : checksum_(computeChecksum(0, {})) {}
 
@@ -88,22 +101,27 @@ class RibSnapshot
     size_t size() const { return routes_.size(); }
     bool empty() const { return routes_.empty(); }
 
-    /** Best path of the exact prefix, or null. */
+    /**
+     * Best path of the exact prefix, or null. Like every route
+     * pointer a snapshot hands out, it points into the immutable
+     * route array and stays valid for as long as the snapshot lives.
+     */
     const SnapshotRoute *
     bestPath(const net::Prefix &prefix) const
     {
-        const uint32_t *index = trie_.exact(prefix);
+        const uint32_t *index = tree_.find(prefix);
         return index ? &routes_[*index] : nullptr;
     }
 
     /**
      * Longest-prefix-match of @p addr, or null when no route covers
-     * it. @p visited optionally receives the trie nodes walked.
+     * it. @p visited optionally receives the lookup work as the node
+     * count of an equivalent unibit trie (PrefixTree::matchLongest).
      */
     const SnapshotRoute *
     lookup(net::Ipv4Address addr, int *visited = nullptr) const
     {
-        const uint32_t *index = trie_.lookup(addr, visited);
+        const uint32_t *index = tree_.matchLongest(addr, visited);
         return index ? &routes_[*index] : nullptr;
     }
 
@@ -142,6 +160,9 @@ class RibSnapshot
         return peers_;
     }
 
+    /** Does lookup() start at the root index (kRootIndexMinRoutes)? */
+    bool rootIndexed() const { return tree_.rootIndexed(); }
+
     /** All routes, sorted by (address, length). */
     const std::vector<SnapshotRoute> &routes() const { return routes_; }
 
@@ -169,7 +190,7 @@ class RibSnapshot
     uint64_t publishedAtNs_ = 0;
     uint64_t checksum_ = 0;
     std::vector<SnapshotRoute> routes_;
-    net::LpmTrie<uint32_t> trie_;
+    net::PrefixTree<uint32_t> tree_;
     std::vector<PeerTableSummary> peers_;
 };
 

@@ -53,6 +53,27 @@ TEST(ForwardingTable, LookupCountsMisses)
     EXPECT_EQ(table.counters().lookupMisses, 1u);
 }
 
+TEST(ForwardingTable, LookupChargeCountsOnlyStoredPrefixes)
+{
+    // The charged lookup work is the depth of a per-bit trie that
+    // holds exactly the installed prefixes: removing the /24 prunes
+    // its 16 bits below the /8 from the charge.
+    ForwardingTable table;
+    table.install(Prefix::fromString("10.0.0.0/8"),
+                  FibEntry{Ipv4Address(10, 255, 0, 1), 1});
+    table.install(Prefix::fromString("10.1.2.0/24"),
+                  FibEntry{Ipv4Address(10, 255, 0, 2), 2});
+    int visited = 0;
+    ASSERT_NE(table.lookup(Ipv4Address(10, 1, 2, 3), &visited), nullptr);
+    EXPECT_EQ(visited, 25);
+
+    ASSERT_TRUE(table.remove(Prefix::fromString("10.1.2.0/24")));
+    const FibEntry *entry = table.lookup(Ipv4Address(10, 1, 2, 3), &visited);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->nextHop, Ipv4Address(10, 255, 0, 1));
+    EXPECT_EQ(visited, 9);
+}
+
 TEST(ForwardingEngine, ForwardsValidPacket)
 {
     ForwardingTable table = tableWithRoutes();

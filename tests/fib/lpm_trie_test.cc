@@ -1,101 +1,128 @@
 /**
  * @file
- * Unit and property tests for the LPM trie (vs the linear oracle).
+ * Unit and property tests for longest-prefix match as the FIB does it:
+ * a net::PrefixTree with its stride-16 root index enabled, checked
+ * against the linear oracle. The suite names predate the tree.
  */
 
 #include <gtest/gtest.h>
 
-#include "fib/lpm_trie.hh"
+#include "net/prefix_tree.hh"
+#include "support/linear_lpm.hh"
 #include "workload/rng.hh"
 
 using namespace bgpbench;
-using fib::LinearLpm;
-using fib::LpmTrie;
 using net::Ipv4Address;
 using net::Prefix;
+using oracle::LinearLpm;
+
+namespace
+{
+
+/** A tree configured as the FIB configures its own. */
+template <typename V>
+net::PrefixTree<V>
+fibTree()
+{
+    net::PrefixTree<V> tree;
+    tree.enableRootIndex();
+    return tree;
+}
+
+/** insert() with the old bool-returning contract. */
+template <typename V>
+bool
+insertNew(net::PrefixTree<V> &tree, const Prefix &prefix, V value)
+{
+    bool inserted = false;
+    tree.insert(prefix, value, &inserted);
+    return inserted;
+}
+
+} // namespace
 
 TEST(LpmTrie, EmptyLookupMisses)
 {
-    LpmTrie<int> trie;
+    auto trie = fibTree<int>();
     EXPECT_EQ(trie.size(), 0u);
-    EXPECT_EQ(trie.lookup(Ipv4Address(1, 2, 3, 4)), nullptr);
+    EXPECT_EQ(trie.matchLongest(Ipv4Address(1, 2, 3, 4)), nullptr);
 }
 
 TEST(LpmTrie, InsertAndExact)
 {
-    LpmTrie<int> trie;
-    EXPECT_TRUE(trie.insert(Prefix::fromString("10.0.0.0/8"), 1));
-    EXPECT_FALSE(trie.insert(Prefix::fromString("10.0.0.0/8"), 2));
+    auto trie = fibTree<int>();
+    EXPECT_TRUE(insertNew(trie, Prefix::fromString("10.0.0.0/8"), 1));
+    EXPECT_FALSE(insertNew(trie, Prefix::fromString("10.0.0.0/8"), 2));
     EXPECT_EQ(trie.size(), 1u);
-    ASSERT_NE(trie.exact(Prefix::fromString("10.0.0.0/8")), nullptr);
-    EXPECT_EQ(*trie.exact(Prefix::fromString("10.0.0.0/8")), 2);
-    EXPECT_EQ(trie.exact(Prefix::fromString("10.0.0.0/16")), nullptr);
+    ASSERT_NE(trie.find(Prefix::fromString("10.0.0.0/8")), nullptr);
+    EXPECT_EQ(*trie.find(Prefix::fromString("10.0.0.0/8")), 2);
+    EXPECT_EQ(trie.find(Prefix::fromString("10.0.0.0/16")), nullptr);
 }
 
 TEST(LpmTrie, LongestMatchWins)
 {
-    LpmTrie<int> trie;
+    auto trie = fibTree<int>();
     trie.insert(Prefix::fromString("10.0.0.0/8"), 8);
     trie.insert(Prefix::fromString("10.1.0.0/16"), 16);
     trie.insert(Prefix::fromString("10.1.2.0/24"), 24);
 
-    EXPECT_EQ(*trie.lookup(Ipv4Address(10, 1, 2, 3)), 24);
-    EXPECT_EQ(*trie.lookup(Ipv4Address(10, 1, 9, 9)), 16);
-    EXPECT_EQ(*trie.lookup(Ipv4Address(10, 9, 9, 9)), 8);
-    EXPECT_EQ(trie.lookup(Ipv4Address(11, 0, 0, 1)), nullptr);
+    EXPECT_EQ(*trie.matchLongest(Ipv4Address(10, 1, 2, 3)), 24);
+    EXPECT_EQ(*trie.matchLongest(Ipv4Address(10, 1, 9, 9)), 16);
+    EXPECT_EQ(*trie.matchLongest(Ipv4Address(10, 9, 9, 9)), 8);
+    EXPECT_EQ(trie.matchLongest(Ipv4Address(11, 0, 0, 1)), nullptr);
 }
 
 TEST(LpmTrie, DefaultRouteCatchesEverything)
 {
-    LpmTrie<int> trie;
+    auto trie = fibTree<int>();
     trie.insert(Prefix(), 0);
-    EXPECT_EQ(*trie.lookup(Ipv4Address(1, 2, 3, 4)), 0);
-    EXPECT_EQ(*trie.lookup(Ipv4Address(255, 255, 255, 255)), 0);
+    EXPECT_EQ(*trie.matchLongest(Ipv4Address(1, 2, 3, 4)), 0);
+    EXPECT_EQ(*trie.matchLongest(Ipv4Address(255, 255, 255, 255)), 0);
 }
 
 TEST(LpmTrie, HostRoute)
 {
-    LpmTrie<int> trie;
+    auto trie = fibTree<int>();
     trie.insert(Prefix::fromString("10.0.0.5/32"), 5);
-    EXPECT_EQ(*trie.lookup(Ipv4Address(10, 0, 0, 5)), 5);
-    EXPECT_EQ(trie.lookup(Ipv4Address(10, 0, 0, 6)), nullptr);
+    EXPECT_EQ(*trie.matchLongest(Ipv4Address(10, 0, 0, 5)), 5);
+    EXPECT_EQ(trie.matchLongest(Ipv4Address(10, 0, 0, 6)), nullptr);
 }
 
 TEST(LpmTrie, RemoveExposesShorterPrefix)
 {
-    LpmTrie<int> trie;
+    auto trie = fibTree<int>();
     trie.insert(Prefix::fromString("10.0.0.0/8"), 8);
     trie.insert(Prefix::fromString("10.1.0.0/16"), 16);
 
-    EXPECT_TRUE(trie.remove(Prefix::fromString("10.1.0.0/16")));
-    EXPECT_FALSE(trie.remove(Prefix::fromString("10.1.0.0/16")));
-    EXPECT_EQ(*trie.lookup(Ipv4Address(10, 1, 2, 3)), 8);
+    EXPECT_TRUE(trie.erase(Prefix::fromString("10.1.0.0/16")));
+    EXPECT_FALSE(trie.erase(Prefix::fromString("10.1.0.0/16")));
+    EXPECT_EQ(*trie.matchLongest(Ipv4Address(10, 1, 2, 3)), 8);
     EXPECT_EQ(trie.size(), 1u);
 }
 
 TEST(LpmTrie, RemoveMissingReturnsFalse)
 {
-    LpmTrie<int> trie;
-    EXPECT_FALSE(trie.remove(Prefix::fromString("10.0.0.0/8")));
+    auto trie = fibTree<int>();
+    EXPECT_FALSE(trie.erase(Prefix::fromString("10.0.0.0/8")));
 }
 
 TEST(LpmTrie, VisitedNodeCountBounded)
 {
-    LpmTrie<int> trie;
+    auto trie = fibTree<int>();
     trie.insert(Prefix::fromString("10.1.2.3/32"), 1);
     int visited = 0;
-    trie.lookup(Ipv4Address(10, 1, 2, 3), &visited);
+    trie.matchLongest(Ipv4Address(10, 1, 2, 3), &visited);
     EXPECT_GE(visited, 32);
     EXPECT_LE(visited, 33);
 
     // A miss on a different top octet stops early.
-    trie.lookup(Ipv4Address(192, 0, 0, 1), &visited);
+    trie.matchLongest(Ipv4Address(192, 0, 0, 1), &visited);
     EXPECT_LE(visited, 8);
 }
 
 TEST(LpmTrie, EntriesRoundTrip)
 {
-    LpmTrie<int> trie;
+    auto trie = fibTree<int>();
     std::vector<std::pair<Prefix, int>> inserted = {
         {Prefix::fromString("10.0.0.0/8"), 1},
         {Prefix::fromString("10.128.0.0/9"), 2},
@@ -105,7 +132,8 @@ TEST(LpmTrie, EntriesRoundTrip)
     for (const auto &[p, v] : inserted)
         trie.insert(p, v);
 
-    auto entries = trie.entries();
+    std::vector<std::pair<Prefix, int>> entries;
+    trie.forEach([&](const Prefix &p, int v) { entries.emplace_back(p, v); });
     ASSERT_EQ(entries.size(), inserted.size());
     for (const auto &[p, v] : inserted) {
         bool found = false;
@@ -117,7 +145,7 @@ TEST(LpmTrie, EntriesRoundTrip)
 
 /**
  * Property suite: random insert/remove/lookup traces agree with the
- * linear-scan oracle at every step.
+ * linear-scan oracle at every step, lookup work included.
  */
 class LpmTrieOracleTest : public ::testing::TestWithParam<uint64_t>
 {
@@ -126,7 +154,7 @@ class LpmTrieOracleTest : public ::testing::TestWithParam<uint64_t>
 TEST_P(LpmTrieOracleTest, MatchesLinearOracle)
 {
     workload::Rng rng(GetParam());
-    LpmTrie<uint32_t> trie;
+    auto trie = fibTree<uint32_t>();
     LinearLpm<uint32_t> oracle;
     std::vector<Prefix> pool;
 
@@ -139,12 +167,12 @@ TEST_P(LpmTrieOracleTest, MatchesLinearOracle)
                                                  0x3fffffff)),
                      int(rng.range(4, 32)));
             uint32_t value = uint32_t(rng.next());
-            EXPECT_EQ(trie.insert(p, value),
+            EXPECT_EQ(insertNew(trie, p, value),
                       oracle.insert(p, value));
             pool.push_back(p);
         } else if (action < 7) {
             Prefix p = pool[rng.below(pool.size())];
-            EXPECT_EQ(trie.remove(p), oracle.remove(p));
+            EXPECT_EQ(trie.erase(p), oracle.remove(p));
         } else {
             // Lookup near an existing prefix to hit interesting
             // boundaries, or anywhere.
@@ -156,13 +184,16 @@ TEST_P(LpmTrieOracleTest, MatchesLinearOracle)
             } else {
                 probe = Ipv4Address(uint32_t(rng.next()));
             }
-            const uint32_t *a = trie.lookup(probe);
+            int visited = 0;
+            const uint32_t *a = trie.matchLongest(probe, &visited);
             const uint32_t *b = oracle.lookup(probe);
             ASSERT_EQ(a == nullptr, b == nullptr)
                 << "step " << step << " probe " << probe.toString();
             if (a) {
                 EXPECT_EQ(*a, *b);
             }
+            EXPECT_EQ(visited, oracle.unibitNodes(probe))
+                << "step " << step << " probe " << probe.toString();
         }
         EXPECT_EQ(trie.size(), oracle.size());
     }

@@ -3,19 +3,20 @@
  * Tests of net::PrefixTree: the path-compressed radix trie backing
  * the shared RIB prefix table. Unit cases pin the structural
  * invariants (compression, splice-on-erase, free-list reuse, ordered
- * iteration); the randomized cases lockstep the tree against
- * std::map and a linear-scan LPM reference.
+ * iteration); the randomized cases lockstep the tree, with and
+ * without its root index, against std::map and the linear-scan LPM
+ * oracle.
  */
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/prefix.hh"
 #include "net/prefix_tree.hh"
+#include "support/linear_lpm.hh"
 #include "workload/rng.hh"
 
 using namespace bgpbench;
@@ -46,20 +47,6 @@ collect(const net::PrefixTree<int> &tree)
     return out;
 }
 
-/** Linear-scan longest-prefix match over a reference map. */
-std::optional<int>
-linearLpm(const std::map<net::Prefix, int> &routes, net::Ipv4Address a)
-{
-    std::optional<int> best;
-    int bestLen = -1;
-    for (const auto &[prefix, value] : routes) {
-        if (prefix.contains(a) && prefix.length() > bestLen) {
-            bestLen = prefix.length();
-            best = value;
-        }
-    }
-    return best;
-}
 
 /** A deterministic pseudo-random prefix, /0../32 with mixed lengths. */
 net::Prefix
@@ -236,7 +223,7 @@ TEST(PrefixTree, RandomizedLockstepAgainstMap)
 TEST(PrefixTree, MatchLongestAgainstLinearReference)
 {
     net::PrefixTree<int> tree;
-    std::map<net::Prefix, int> reference;
+    oracle::LinearLpm<int> reference;
     workload::Rng rng(3);
     for (int i = 0; i < 2000; ++i) {
         // Short-biased lengths so addresses actually match something.
@@ -244,14 +231,14 @@ TEST(PrefixTree, MatchLongestAgainstLinearReference)
         net::Prefix prefix(net::Ipv4Address(uint32_t(rng.next())),
                            length);
         tree.insert(prefix, i);
-        reference[prefix] = i;
+        reference.insert(prefix, i);
     }
 
     for (int i = 0; i < 5000; ++i) {
         net::Ipv4Address a(uint32_t(rng.next()));
         const int *got = tree.matchLongest(a);
-        std::optional<int> expect = linearLpm(reference, a);
-        ASSERT_EQ(got != nullptr, expect.has_value());
+        const int *expect = reference.lookup(a);
+        ASSERT_EQ(got != nullptr, expect != nullptr);
         if (got) {
             EXPECT_EQ(*got, *expect);
         }
@@ -285,4 +272,247 @@ TEST(PrefixTree, ClearKeepsCapacityAndResets)
     EXPECT_EQ(tree.find(pfx("10.0.0.0/8")), nullptr);
     tree.insert(pfx("10.0.0.0/8"), 1);
     EXPECT_EQ(tree.size(), 1u);
+}
+
+namespace
+{
+
+/**
+ * A prefix from a small, nested population: /0, many /1–/16 (the
+ * lengths the root index stores), longer prefixes and /32s, clustered
+ * under a few bases so nesting, joints and cascading prunes are
+ * common.
+ */
+net::Prefix
+indexStressPrefix(workload::Rng &rng)
+{
+    static const uint32_t kBases[] = {0x0a000000u, 0x0a010000u,
+                                      0xc0a80000u, 0xffff0000u, 0u};
+    const uint32_t base = kBases[rng.below(5)];
+    const uint32_t bits =
+        base ^ (uint32_t(rng.next()) >> int(rng.range(0, 20)));
+    const uint64_t pick = rng.below(16);
+    int length;
+    if (pick == 0)
+        length = 0;
+    else if (pick <= 8)
+        length = int(rng.range(1, 16));
+    else if (pick <= 12)
+        length = int(rng.range(17, 31));
+    else
+        length = 32;
+    return net::Prefix(net::Ipv4Address(bits), length);
+}
+
+/** Check one tree against the oracle at @p probe, lookup work included. */
+void
+expectLookupMatches(const net::PrefixTree<int> &tree,
+                    const oracle::LinearLpm<int> &reference,
+                    net::Ipv4Address probe, const char *which)
+{
+    int visited = -1;
+    const int *got = tree.matchLongest(probe, &visited);
+    const int *expect = reference.lookup(probe);
+    ASSERT_EQ(got != nullptr, expect != nullptr)
+        << which << " probe " << probe.toString();
+    if (got) {
+        EXPECT_EQ(*got, *expect) << which << " probe " << probe.toString();
+    }
+    EXPECT_EQ(visited, reference.unibitNodes(probe))
+        << which << " probe " << probe.toString();
+}
+
+/** forEach order and content equal the oracle's sorted entries. */
+void
+expectOrderMatches(const net::PrefixTree<int> &tree,
+                   const oracle::LinearLpm<int> &reference,
+                   const char *which)
+{
+    EXPECT_EQ(collect(tree), reference.sorted()) << which;
+}
+
+} // namespace
+
+/**
+ * Lockstep property test: the indexed tree (the FIB and snapshot
+ * configuration) and the unindexed one (RIBs, prefix-lists) run the
+ * same random insert/replace/erase stream as the linear oracle; after
+ * every step, lookups (value and modelled unibit depth) at the touched
+ * prefix's edges and at random probes, find() and forEach order must
+ * agree with it.
+ */
+class PrefixTreeIndexLockstep : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(PrefixTreeIndexLockstep, IndexedAndUnindexedMatchLinearOracle)
+{
+    workload::Rng rng(GetParam());
+    net::PrefixTree<int> indexed;
+    indexed.enableRootIndex();
+    net::PrefixTree<int> plain;
+    oracle::LinearLpm<int> reference;
+
+    // A small pool makes re-inserts after erases (and the prunes they
+    // cascade) frequent; the default route is always in it.
+    std::vector<net::Prefix> pool = {pfx("0.0.0.0/0")};
+    for (int i = 0; i < 48; ++i)
+        pool.push_back(indexStressPrefix(rng));
+
+    for (int step = 0; step < 3000; ++step) {
+        const net::Prefix prefix = pool[rng.below(pool.size())];
+        if (rng.below(20) < 9) {
+            const bool present = reference.remove(prefix);
+            ASSERT_EQ(indexed.erase(prefix), present) << "step " << step;
+            ASSERT_EQ(plain.erase(prefix), present) << "step " << step;
+        } else {
+            bool inIndexed = false;
+            bool inPlain = false;
+            const bool fresh = reference.insert(prefix, step);
+            indexed.insert(prefix, step, &inIndexed);
+            plain.insert(prefix, step, &inPlain);
+            ASSERT_EQ(inIndexed, fresh) << "step " << step;
+            ASSERT_EQ(inPlain, fresh) << "step " << step;
+        }
+        ASSERT_EQ(indexed.size(), reference.size());
+        ASSERT_EQ(plain.size(), reference.size());
+
+        const int *want = reference.exact(prefix);
+        for (const net::PrefixTree<int> *tree : {&indexed, &plain}) {
+            const int *got = tree->find(prefix);
+            ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+            if (got) {
+                EXPECT_EQ(*got, *want);
+            }
+        }
+
+        const uint32_t first = prefix.address().toUint32();
+        const uint32_t last = first | ~net::maskForLength(prefix.length());
+        std::vector<net::Ipv4Address> probes = {
+            net::Ipv4Address(first), net::Ipv4Address(last),
+            net::Ipv4Address(first - 1), net::Ipv4Address(last + 1)};
+        for (int i = 0; i < 6; ++i)
+            probes.push_back(indexStressPrefix(rng).address());
+        probes.push_back(net::Ipv4Address(uint32_t(rng.next())));
+        for (net::Ipv4Address probe : probes) {
+            expectLookupMatches(indexed, reference, probe, "indexed");
+            expectLookupMatches(plain, reference, probe, "plain");
+        }
+        expectOrderMatches(indexed, reference, "indexed");
+        expectOrderMatches(plain, reference, "plain");
+        if (::testing::Test::HasFailure())
+            FAIL() << "diverged at step " << step << " on "
+                   << prefix.toString();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefixTreeIndexLockstep,
+                         ::testing::Values(1, 7, 42, 1234));
+
+TEST(PrefixTree, RootIndexSurvivesCascadingPruneAndReinsert)
+{
+    net::PrefixTree<int> tree;
+    tree.enableRootIndex();
+    oracle::LinearLpm<int> reference;
+    auto insert = [&](const char *text, int value) {
+        tree.insert(pfx(text), value);
+        reference.insert(pfx(text), value);
+    };
+    auto erase = [&](const char *text) {
+        EXPECT_TRUE(tree.erase(pfx(text)));
+        reference.remove(pfx(text));
+    };
+    // Every /16 slot of 10.0.0.0/8, at both of its edges.
+    auto sweep = [&](const char *when) {
+        for (uint32_t slot = 0; slot < 256; ++slot) {
+            const uint32_t low = 0x0a000000u | (slot << 16);
+            expectLookupMatches(tree, reference, net::Ipv4Address(low),
+                                when);
+            expectLookupMatches(tree, reference,
+                                net::Ipv4Address(low | 0xffffu), when);
+        }
+    };
+
+    // Two /10s under a valueless /9 joint, beside a /9 under a
+    // valueless /8 joint: every node here lives in the index.
+    insert("10.0.0.0/10", 1);
+    insert("10.64.0.0/10", 2);
+    insert("10.128.0.0/9", 3);
+    EXPECT_EQ(tree.nodeCount(), 6u);
+    sweep("built");
+
+    // Each erase frees a leaf and splices the joint above it.
+    erase("10.0.0.0/10");
+    EXPECT_EQ(tree.nodeCount(), 4u);
+    sweep("first prune");
+    erase("10.64.0.0/10");
+    EXPECT_EQ(tree.nodeCount(), 2u);
+    sweep("second prune");
+
+    // Re-inserts recycle the freed nodes; the default route comes and
+    // goes underneath everything.
+    insert("0.0.0.0/0", 0);
+    sweep("default added");
+    insert("10.0.0.0/10", 4);
+    insert("10.0.0.0/16", 5);
+    insert("10.64.0.0/10", 6);
+    EXPECT_EQ(tree.nodeCount(), 7u);
+    sweep("reinserted");
+    erase("0.0.0.0/0");
+    sweep("default removed");
+    erase("10.0.0.0/10");
+    sweep("middle removed");
+    EXPECT_EQ(tree.matchLongest(addr("10.1.0.1")), nullptr);
+    EXPECT_EQ(*tree.matchLongest(addr("10.0.0.1")), 5);
+}
+
+TEST(PrefixTree, EnablingTheIndexAfterABulkLoad)
+{
+    // The snapshot path: load unindexed, then index once.
+    net::PrefixTree<int> tree;
+    oracle::LinearLpm<int> reference;
+    workload::Rng rng(99);
+    for (int i = 0; i < 400; ++i) {
+        const net::Prefix prefix = indexStressPrefix(rng);
+        tree.insert(prefix, i);
+        reference.insert(prefix, i);
+    }
+    const size_t unindexed = tree.memoryBytes();
+    tree.enableRootIndex();
+    EXPECT_EQ(tree.memoryBytes(), unindexed + 2 * 65536 * sizeof(uint32_t));
+    for (int i = 0; i < 4000; ++i) {
+        expectLookupMatches(tree, reference,
+                            indexStressPrefix(rng).address(), "bulk");
+    }
+    // clear() keeps the index, reset to the empty tree.
+    tree.clear();
+    EXPECT_EQ(tree.memoryBytes(), unindexed + 2 * 65536 * sizeof(uint32_t));
+    EXPECT_EQ(tree.matchLongest(addr("10.0.0.1")), nullptr);
+    tree.insert(pfx("10.0.0.0/8"), 8);
+    EXPECT_EQ(*tree.matchLongest(addr("10.0.0.1")), 8);
+}
+
+TEST(PrefixTree, ForEachCoveringVisitsShortestFirst)
+{
+    net::PrefixTree<int> tree;
+    tree.insert(pfx("0.0.0.0/0"), 0);
+    tree.insert(pfx("10.0.0.0/8"), 8);
+    tree.insert(pfx("10.1.0.0/16"), 16);
+    tree.insert(pfx("10.1.2.0/24"), 24);
+    tree.insert(pfx("10.2.0.0/16"), 99); // a sibling, never covering
+
+    std::vector<std::pair<int, int>> seen;
+    tree.forEachCovering(pfx("10.1.2.0/24"), [&](int length, int value) {
+        seen.emplace_back(length, value);
+    });
+    const std::vector<std::pair<int, int>> expect = {
+        {0, 0}, {8, 8}, {16, 16}, {24, 24}};
+    EXPECT_EQ(seen, expect);
+
+    // A prefix shorter than the stored ones is covered only by /0.
+    seen.clear();
+    tree.forEachCovering(pfx("10.0.0.0/7"), [&](int length, int value) {
+        seen.emplace_back(length, value);
+    });
+    EXPECT_EQ(seen, (std::vector<std::pair<int, int>>{{0, 0}}));
 }

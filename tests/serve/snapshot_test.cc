@@ -9,6 +9,8 @@
 
 #include "bgp/rib.hh"
 #include "serve/snapshot.hh"
+#include "support/linear_lpm.hh"
+#include "workload/rng.hh"
 
 using namespace bgpbench;
 using namespace bgpbench::serve;
@@ -222,4 +224,56 @@ TEST(RibSnapshot, OldEpochSurvivesNewerBuilds)
     EXPECT_NE(old_snapshot->bestPath(pfx("10.1.0.0/16")), nullptr);
     EXPECT_TRUE(old_snapshot->verifyChecksum());
     EXPECT_EQ(newer->bestPath(pfx("10.1.0.0/16")), nullptr);
+}
+
+TEST(RibSnapshot, RootIndexOnlyFromThresholdAndLookupsAgree)
+{
+    // One route short of the threshold the snapshot walks from the
+    // root; at the threshold it starts at the root index. Both must
+    // answer every lookup like a linear scan.
+    bgp::Candidate candidate;
+    candidate.attributes = attrs(100);
+    candidate.peer = 1;
+    bgp::LocRib rib;
+    oracle::LinearLpm<net::Prefix> reference;
+    auto add = [&](const net::Prefix &prefix) {
+        rib.select(prefix, candidate);
+        reference.insert(prefix, prefix);
+    };
+    add(pfx("0.0.0.0/0"));
+    add(pfx("32.16.0.0/12"));
+    add(pfx("33.0.0.0/9"));
+    // /24s on every third /24 from 32.0.0.0, under and beside the
+    // shorter prefixes.
+    const uint32_t base = net::Ipv4Address(32, 0, 0, 0).toUint32();
+    uint32_t next = 0;
+    while (rib.size() + 1 < RibSnapshot::kRootIndexMinRoutes)
+        add(net::Prefix(net::Ipv4Address(base + 3 * 256 * next++), 24));
+
+    workload::Rng rng(7);
+    auto check = [&](const RibSnapshot &snapshot) {
+        for (int i = 0; i < 200; ++i) {
+            // Mostly inside the /24 span, some anywhere.
+            const uint32_t bits =
+                i % 4 == 0 ? uint32_t(rng.next())
+                           : base + uint32_t(rng.below(3 * 256 * next));
+            const net::Ipv4Address addr(bits);
+            const net::Prefix *want = reference.lookup(addr);
+            const SnapshotRoute *got = snapshot.lookup(addr);
+            ASSERT_NE(want, nullptr);
+            ASSERT_NE(got, nullptr) << addr.toString();
+            EXPECT_EQ(got->prefix, *want) << addr.toString();
+        }
+    };
+
+    RibSnapshotPtr small = RibSnapshot::build(rib, 1, 0);
+    ASSERT_EQ(small->size(), RibSnapshot::kRootIndexMinRoutes - 1);
+    EXPECT_FALSE(small->rootIndexed());
+    check(*small);
+
+    add(net::Prefix(net::Ipv4Address(base + 3 * 256 * next++), 24));
+    RibSnapshotPtr large = RibSnapshot::build(rib, 2, 0);
+    ASSERT_EQ(large->size(), RibSnapshot::kRootIndexMinRoutes);
+    EXPECT_TRUE(large->rootIndexed());
+    check(*large);
 }
